@@ -1,0 +1,12 @@
+"""Make the benchmark package and the program importable.
+
+Run from the repository root with ``python3 -m pytest servicebench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+_BENCH = Path(__file__).resolve().parent.parent
+for path in (_BENCH, _BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
