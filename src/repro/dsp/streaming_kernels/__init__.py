@@ -15,10 +15,11 @@ purity is what makes the checkpoint/restore round-trip exact.
 
 Modules:
 
-* :mod:`~repro.dsp.streaming_kernels.rolling` — trailing median / MAD /
-  Hampel (vectorized, scipy-backed) plus an O(log w)-per-update
-  :class:`RollingMedian` for sample-at-a-time consumers, and batched
-  (multi-column) centered Hampel used by :mod:`repro.core.calibration`.
+* :mod:`~repro.dsp.streaming_kernels.rolling` — the packed rolling-median
+  kernel (every column of a matrix in one scipy call, trailing or centered
+  windows, optionally only the last rows) and the one Hampel rule that the
+  streaming engine, :mod:`repro.core.calibration` and :mod:`repro.dsp.hampel`
+  all apply.
 * :mod:`~repro.dsp.streaming_kernels.unwrap` — integer-cycle phase
   unwrapping whose incremental continuation is bitwise equal to a
   from-scratch pass (the cycle counter is an exact integer cumsum).
@@ -36,27 +37,14 @@ from .calibrator import (
     trailing_calibrate,
     trailing_window_samples,
 )
-from .rolling import (
-    RollingHampel,
-    RollingMedian,
-    batched_hampel_filter,
-    batched_rolling_median,
-    trailing_hampel,
-    trailing_mad,
-    trailing_median,
-)
+from .rolling import batched_hampel_filter, hampel_rule, rolling_median
 from .sliding_dft import SlidingDFT
-from .unwrap import CycleUnwrapper, cycle_unwrap
+from .unwrap import cycle_unwrap
 
 __all__ = [
-    "RollingHampel",
-    "RollingMedian",
     "batched_hampel_filter",
-    "batched_rolling_median",
-    "trailing_hampel",
-    "trailing_mad",
-    "trailing_median",
-    "CycleUnwrapper",
+    "hampel_rule",
+    "rolling_median",
     "cycle_unwrap",
     "SlidingDFT",
     "StreamingCalibrator",

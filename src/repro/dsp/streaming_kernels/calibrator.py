@@ -3,17 +3,17 @@
 The batch calibration stage (:func:`repro.core.calibration.calibrate`)
 detrends and denoises with *centered* Hampel windows, so every hop of a
 sliding window changes every output sample and forces a full recompute.
-The engine here uses the *trailing* kernels from
+The engine here uses *trailing* windows of the packed kernel in
 :mod:`~repro.dsp.streaming_kernels.rolling`: each calibrated sample is a
 pure function of the trailing ``trend_window + noise_window`` raw samples,
 is computed exactly once, and never changes.  Per hop, only the new packets
-are filtered — one short scipy slice call per kernel instead of a
-full-window pass.
+are filtered — one packed scipy call per median stage (four per hop, for
+all series at once) instead of a full-window pass.
 
 **Exactness model.**  Every cached value is either (a) an order statistic
-of a fixed slice of the raw series (the trailing scipy kernels — slice
-continuation is bitwise equal to a full pass) or (b) an exactly associative
-integer operation (the cycle counter of
+of a fixed slice of the raw series (the trailing medians — continuing from
+a retained context is bitwise equal to a full pass) or (b) an exactly
+associative integer operation (the cycle counter of
 :mod:`~repro.dsp.streaming_kernels.unwrap`).  Consequently an engine
 rebuilt from a buffered suffix of the stream produces bit-identical caches
 to the engine that ran incrementally — no replay machinery — *provided*
@@ -37,7 +37,7 @@ from ...contracts import FloatArray, IntArray
 from ...errors import ConfigurationError
 from ..resample import decimate, downsampled_rate
 from ..stats import MAD_TO_SIGMA
-from .rolling import trailing_median
+from .rolling import hampel_rule
 from .unwrap import cycle_unwrap
 
 # CalibrationConfig lives in repro.core; importing it here would invert the
@@ -74,8 +74,8 @@ class TrailingHampelState:
     """Incremental trailing Hampel filter over a growing multi-series matrix.
 
     :meth:`extend` filters each new block and returns it; outputs are
-    bitwise equal to running :func:`~repro.dsp.streaming_kernels.rolling.trailing_hampel`
-    over the whole concatenated series (the equivalence suite pins this).
+    bitwise equal to one trailing :func:`~repro.dsp.streaming_kernels.rolling.hampel_rule`
+    pass over the whole concatenated series (the equivalence suite pins this).
     The state retains the trailing ``window - 1`` raw samples and absolute
     deviations — everything a future block's windows can reach.
     """
@@ -116,31 +116,19 @@ class TrailingHampelState:
             raise ConfigurationError(
                 f"expected an [n_new x n_series] block, got shape {block.shape}"
             )
-        m = block.shape[0]
-        if m == 0:
+        if block.shape[0] == 0:
             return block.copy()
-        w = self._window
-        keep = w - 1
-        if self._x_tail is None:
-            ctx_x = block
-        else:
-            ctx_x = np.concatenate([self._x_tail, block], axis=0)
-        # While fewer than ``window - 1`` context rows exist, the slice
-        # starts at the true first sample and scipy's edge replication
-        # reproduces the full-series warmup exactly; once the context is
-        # full, every output row taken has a complete real window.
-        med = trailing_median(ctx_x, w)[-m:]
-        y_new = np.abs(block - med)
-        if self._y_tail is None:
-            ctx_y = y_new
-        else:
-            ctx_y = np.concatenate([self._y_tail, y_new], axis=0)
-        mad = trailing_median(ctx_y, w)[-m:]
-        outlier = y_new > self._threshold * self._scale * mad
-        out = block.copy()
-        out[outlier] = med[outlier]
-        self._x_tail = ctx_x[-keep:].copy() if keep else ctx_x[:0].copy()
-        self._y_tail = ctx_y[-keep:].copy() if keep else ctx_y[:0].copy()
+        # While fewer than ``window - 1`` context rows exist, the context
+        # starts at the true first sample and edge replication reproduces
+        # the full-series warmup exactly; once it is full, every output row
+        # has a complete real window and the kernel packs no padding.
+        x = block if self._x_tail is None else np.concatenate([self._x_tail, block])
+        out, dev = hampel_rule(
+            x, self._window, self._threshold, scale=self._scale, deviation=self._y_tail
+        )
+        keep = min(self._window - 1, x.shape[0])
+        self._x_tail = x[x.shape[0] - keep :].copy()
+        self._y_tail = dev[dev.shape[0] - keep :].copy()
         return out
 
 
@@ -224,9 +212,9 @@ def trailing_calibrate(
         else np.asarray(initial_cycles, dtype=np.int64)
     )
     unwrapped, cycles = cycle_unwrap(a, prev_angle=a[0], prev_cycles=base)
-    trend = _trailing_hampel_full(unwrapped, trend_w, hampel_threshold)
+    trend = hampel_rule(unwrapped, trend_w, hampel_threshold)[0]
     detrended = unwrapped - trend
-    denoised = _trailing_hampel_full(detrended, noise_w, hampel_threshold)
+    denoised = hampel_rule(detrended, noise_w, hampel_threshold)[0]
     series = (
         decimate(denoised, decimation_factor, axis=0)
         if decimation_factor > 1
@@ -241,19 +229,6 @@ def trailing_calibrate(
         input_rate_hz=float(sample_rate_hz),
         decimation_factor=int(decimation_factor),
     )
-
-
-def _trailing_hampel_full(
-    x: FloatArray, window: int, threshold: float
-) -> FloatArray:
-    """Trailing Hampel over a full matrix (same ops as the incremental state)."""
-    med = trailing_median(x, window)
-    y = np.abs(x - med)
-    mad = trailing_median(y, window)
-    outlier = y > threshold * MAD_TO_SIGMA * mad
-    out = x.copy()
-    out[outlier] = med[outlier]
-    return out
 
 
 class StreamingCalibrator:

@@ -1,60 +1,60 @@
-"""Trailing and batched rolling-median kernels.
+"""The packed rolling-median kernel and the one Hampel rule built on it.
 
-Two families live here:
+Every Hampel stage in the program — the batch calibration's centered
+detrend/denoise, the streaming engine's trailing ones, and the 1-D filters
+of :mod:`repro.dsp.hampel` — reduces to rolling medians over the columns of
+an ``[n_samples × n_series]`` matrix.  :func:`rolling_median` computes them
+for all columns in **one** ``scipy.ndimage.median_filter`` call.
 
-* **Trailing (causal) kernels** — the filtered value at index ``i`` is an
-  order statistic of the trailing window ``[i - w + 1, i]`` with the left
-  edge replicated (``x[0]`` stands in for negative indices).  Trailing
-  values are frozen once computed, which is what makes incremental streaming
-  exact: extending the series never changes past outputs.  The vectorized
-  implementations ride on ``scipy.ndimage.median_filter`` with a positive
-  ``origin`` — ``origin=(w - 1) // 2`` shifts the centered footprint fully
-  to the left, which is bitwise equal to the naive trailing median
-  (verified against a naive implementation in the test suite, including
-  ties and even windows).
+**Alignment.**  The value at row ``i`` is the rank ``window // 2`` order
+statistic of
 
-* **Batched centered kernels** — per-column application of the 1-D
-  centered kernels from :mod:`repro.dsp.hampel` over a ``[window × series]``
-  matrix, with the elementwise outlier logic vectorized across the matrix.
-  Output is bitwise equal to looping :func:`repro.dsp.hampel.hampel_filter`
-  over columns; :mod:`repro.core.calibration` uses this to calibrate all
-  subcarriers of all antenna pairs in one call.  (The per-column scipy
-  calls are retained deliberately: scipy's 1-D path is two orders of
-  magnitude faster than its n-D path for this shape.)
+* ``"trailing"``: rows ``[i - w + 1, i]`` — causal, so a value never changes
+  once computed, which is what makes incremental streaming exact;
+* ``"centered"``: rows ``[i - w // 2, i + (w - 1) // 2]`` — the paper's
+  calibration windows.
 
-An O(log w)-per-update :class:`RollingMedian` (sorted-container indexable
-structure) and :class:`RollingHampel` serve sample-at-a-time consumers that
-cannot amortize a vectorized slice call.
+Rows outside ``[0, n)`` are replicated edge samples (scipy's
+``mode="nearest"``).
+
+**Packing.**  Each column becomes one segment of a 1-D buffer: the rows its
+outputs need, with out-of-range rows replaced by copies of the first (or
+last) sample — ``w - 1`` leading copies for trailing, ``w // 2`` leading and
+``(w - 1) // 2`` trailing copies for centered.  That padding is exactly what
+a per-column ``mode="nearest"`` call sees, so every output window lies
+inside its own segment and one centered call over the whole buffer yields
+the per-column results.  scipy's 1-D rank filter is used on purpose: a 2-D
+``size=(w, 1)`` or ``axes=`` call over the matrix is tens of times *slower*
+at these window sizes.  With ``tail=m`` only the last ``m`` rows are produced and the
+leading padding shrinks to ``max(0, w - 1 - (n - m))`` rows (trailing), so a
+streaming hop with full context packs no padding at all.
+
+**Columns that are filtered alone.**  The packed result is bitwise equal to
+the per-column loop because an order statistic is an exact element of its
+window.  Two kinds of value break that argument, and a column holding one
+takes the per-column call instead: a non-finite value (scipy's running
+median mis-orders NaN, and the disturbance can outlive the window — in a
+packed buffer it would reach the next column) and ``-0.0`` (it ties with
+``+0.0``, and which of the two is reported depends on the filter's history).
+A lone column takes that call as well: it has nothing to pack with.
 """
 
 from __future__ import annotations
 
-import bisect
+from typing import Literal
 
 import numpy as np
 from scipy.ndimage import median_filter
 
-from ...contracts import FloatArray
+from ...contracts import BoolArray, FloatArray
 from ...errors import ConfigurationError
 from ..stats import MAD_TO_SIGMA
 
-try:  # pragma: no cover - exercised via whichever backend is installed
-    from sortedcontainers import SortedList as _SortedList
+__all__ = ["Align", "rolling_median", "hampel_rule", "batched_hampel_filter"]
 
-    _HAVE_SORTEDCONTAINERS = True
-except ImportError:  # pragma: no cover
-    _SortedList = None
-    _HAVE_SORTEDCONTAINERS = False
+Align = Literal["trailing", "centered"]
 
-__all__ = [
-    "trailing_median",
-    "trailing_mad",
-    "trailing_hampel",
-    "batched_rolling_median",
-    "batched_hampel_filter",
-    "RollingMedian",
-    "RollingHampel",
-]
+_NEGATIVE_ZERO = np.uint64(0x8000_0000_0000_0000)
 
 
 def _validate(x: FloatArray, window: int) -> FloatArray:
@@ -68,113 +68,140 @@ def _validate(x: FloatArray, window: int) -> FloatArray:
     return x
 
 
-def trailing_origin(window: int) -> int:
-    """The ``scipy.ndimage`` origin that turns a centered footprint trailing.
+def _column_median(column: FloatArray, window: int, align: Align) -> FloatArray:
+    """The per-column reference: one scipy call with edge replication.
 
-    A positive origin shifts the footprint left; ``(window - 1) // 2`` is
-    both the shift that lands the footprint on ``[i - w + 1, i]`` and the
-    maximum shift scipy allows.
+    For trailing windows ``origin=(window - 1) // 2`` shifts the centered
+    footprint fully to the left, onto ``[i - w + 1, i]``.
     """
-    return (window - 1) // 2
+    origin = (window - 1) // 2 if align == "trailing" else 0
+    return median_filter(column, size=window, mode="nearest", origin=origin)
 
 
-def trailing_median(x: FloatArray, window: int) -> FloatArray:
-    """Trailing rolling median (window ``[i - w + 1, i]``, left edge replicated).
+def _lone_columns(matrix: FloatArray) -> BoolArray:
+    """Columns that must take the per-column call (see the module docstring).
 
-    The reported median is the rank ``window // 2`` order statistic of the
-    window — the same convention as ``scipy.ndimage.median_filter`` and
-    therefore as :func:`repro.dsp.hampel.rolling_median`.  2-D input is
-    filtered column by column (columns are independent series).
-
-    Args:
-        x: 1-D series or ``[n_samples × n_series]`` matrix.
-        window: Trailing window length in samples.  May exceed the series
-            length; the replicated left edge covers the deficit.
-
-    Returns:
-        Filtered array, same shape as ``x``.
+    A column sum is non-finite when the column holds a NaN or an infinity
+    (or overflows, which only sends a finite column the exact slow way).
     """
-    x = _validate(x, window)
-    origin = trailing_origin(window)
-    if x.ndim == 1:
-        return median_filter(x, size=window, mode="nearest", origin=origin)
-    out = np.empty_like(x)
-    for col in range(x.shape[1]):
-        out[:, col] = median_filter(
-            x[:, col], size=window, mode="nearest", origin=origin
-        )
-    return out
+    if matrix.shape[1] == 1:
+        return np.ones(1, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lone = ~np.isfinite(matrix.sum(axis=0))
+    lone |= (matrix.view(np.uint64) == _NEGATIVE_ZERO).any(axis=0)
+    return lone
 
 
-def trailing_mad(
-    x: FloatArray, window: int, *, median: FloatArray | None = None
+def _packed_median(
+    matrix: FloatArray, window: int, align: Align, m: int
 ) -> FloatArray:
-    """Trailing rolling MAD about the trailing rolling median.
+    """Last ``m`` rows of every column's rolling median, from one scipy call.
+
+    Each column becomes a segment of ``m + window - 1`` rows — the rows its
+    last ``m`` windows cover, out-of-range rows replaced by edge copies — so
+    the centered output at offset ``window // 2 + j`` of a segment is the
+    median of that column's ``j``-th window for either alignment.
+    """
+    n, n_cols = matrix.shape
+    first = n - m - (window - 1 if align == "trailing" else window // 2)
+    length = m + window - 1
+    lo, hi = max(first, 0), min(first + length, n)
+    segments = np.empty((n_cols, length))
+    segments[:, lo - first : hi - first] = matrix[lo:hi].T
+    segments[:, : lo - first] = matrix[:1].T
+    segments[:, hi - first :] = matrix[-1:].T
+    filtered = median_filter(segments.ravel(), size=window, mode="nearest")
+    return filtered.reshape(n_cols, length)[:, window // 2 : window // 2 + m].T
+
+
+def rolling_median(
+    x: FloatArray,
+    window: int,
+    *,
+    align: Align = "trailing",
+    tail: int | None = None,
+) -> FloatArray:
+    """Rolling median of every column, from one packed scipy call.
+
+    Bitwise equal to calling ``median_filter(x[:, j], size=window,
+    mode="nearest")`` (with the trailing origin for ``"trailing"``) on each
+    column ``j`` and keeping the last ``tail`` rows.  The window is not
+    clamped to the series length; replicated edges cover any deficit.
 
     Args:
         x: 1-D series or ``[n_samples × n_series]`` matrix.
-        window: Trailing window length in samples.
-        median: The trailing median of ``x`` over the same window, when the
-            caller has already computed it; omitted, it is recomputed.
+        window: Window length in samples.
+        align: ``"trailing"`` or ``"centered"`` (see the module docstring).
+        tail: Return only the last ``tail`` rows; all rows when omitted.
 
     Returns:
-        Trailing MAD array, same shape as ``x``.
+        ``[tail × n_series]`` medians (1-D in, 1-D out).
     """
     x = _validate(x, window)
-    med = trailing_median(x, window) if median is None else np.asarray(median, float)
-    return trailing_median(np.abs(x - med), window)
+    if align not in ("trailing", "centered"):
+        raise ConfigurationError(f"align must be 'trailing' or 'centered', got {align!r}")
+    matrix = x[:, np.newaxis] if x.ndim == 1 else x
+    n, n_cols = matrix.shape
+    m = n if tail is None else int(tail)
+    if not 0 <= m <= n:
+        raise ConfigurationError(f"tail must be in [0, {n}], got {tail}")
+    out = np.empty((m, n_cols))
+    if m and n_cols:
+        lone = _lone_columns(matrix)
+        for col in np.flatnonzero(lone):
+            out[:, col] = _column_median(matrix[:, col], window, align)[n - m :]
+        if not lone.all():
+            cols = np.flatnonzero(~lone) if lone.any() else slice(None)
+            out[:, cols] = _packed_median(matrix[:, cols], window, align, m)
+    return out if x.ndim == 2 else out[:, 0]
 
 
-def trailing_hampel(
+def hampel_rule(
     x: FloatArray,
     window: int,
     threshold: float,
     *,
+    align: Align = "trailing",
     scale: float = MAD_TO_SIGMA,
-) -> FloatArray:
-    """Causal Hampel filter: trailing-window variant of ``hampel_filter``.
+    deviation: FloatArray | None = None,
+) -> tuple[FloatArray, FloatArray]:
+    """The Hampel rule every filter stage applies: median, MAD, replace.
 
-    Identical outlier rule to :func:`repro.dsp.hampel.hampel_filter` —
-    replace ``x[i]`` with the local median when it sits more than
-    ``threshold * scale * mad[i]`` away — but the local statistics come
-    from the trailing window, so outputs are frozen once computed and the
-    filter can run incrementally.
+    A sample is replaced by its local median when it sits more than
+    ``threshold * scale * mad`` away, ``mad`` being the rolling median of
+    the absolute deviations from the rolling median.
+
+    ``x`` may start with context rows whose deviations the caller already
+    holds (a trailing stream continuing from earlier blocks): pass them as
+    ``deviation`` and only the rows after them are filtered.
 
     Args:
         x: 1-D series or ``[n_samples × n_series]`` matrix.
-        window: Trailing window length in samples.
+        window: Window length in samples.
         threshold: Robust standard deviations beyond which a sample is
             replaced by the local median.
+        align: Window alignment of both medians.
         scale: MAD-to-sigma factor (Gaussian-consistent by default).
+        deviation: Absolute deviations of the leading context rows of ``x``.
 
     Returns:
-        Filtered array, same shape as ``x``.
+        ``(filtered, deviation)``: the filtered rows after the context, and
+        the absolute deviations of every row of ``x``.
     """
-    x = _validate(x, window)
     if threshold < 0:
         raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-    med = trailing_median(x, window)
-    mad = trailing_median(np.abs(x - med), window)
-    outlier = np.abs(x - med) > threshold * scale * mad
-    out = x.copy()
+    x = _validate(x, window)
+    known = 0 if deviation is None else deviation.shape[0]
+    m = x.shape[0] - known
+    med = rolling_median(x, window, align=align, tail=m)
+    new = x[known:]
+    new_dev = np.abs(new - med)
+    dev = new_dev if deviation is None else np.concatenate([deviation, new_dev])
+    mad = rolling_median(dev, window, align=align, tail=m)
+    outlier = new_dev > threshold * scale * mad
+    out = new.copy()
     out[outlier] = med[outlier]
-    return out
-
-
-def batched_rolling_median(matrix: FloatArray, window: int) -> FloatArray:
-    """Centered rolling median applied independently to each column.
-
-    Bitwise equal to calling :func:`repro.dsp.hampel.rolling_median` on
-    every column (same scipy kernel, same ``min(window, n)`` clamp).
-    """
-    matrix = _validate(matrix, window)
-    if matrix.ndim == 1:
-        matrix = matrix[:, np.newaxis]
-    window = min(window, matrix.shape[0])
-    out = np.empty_like(matrix)
-    for col in range(matrix.shape[1]):
-        out[:, col] = median_filter(matrix[:, col], size=window, mode="nearest")
-    return out
+    return out, dev
 
 
 def batched_hampel_filter(
@@ -186,9 +213,9 @@ def batched_hampel_filter(
 ) -> FloatArray:
     """Centered Hampel filter applied independently to each column.
 
-    The per-column medians reuse the 1-D scipy kernel; the outlier mask and
-    replacement are vectorized across the whole matrix.  Bitwise equal to
-    looping :func:`repro.dsp.hampel.hampel_filter` over columns.
+    Bitwise equal to looping :func:`repro.dsp.hampel.hampel_filter` over
+    columns; :mod:`repro.core.calibration` uses it to calibrate all
+    subcarriers of all antenna pairs at once.
 
     Args:
         matrix: ``[n_samples × n_series]`` matrix (1-D input is treated as
@@ -205,133 +232,5 @@ def batched_hampel_filter(
     matrix = _validate(matrix, window)
     if matrix.ndim == 1:
         matrix = matrix[:, np.newaxis]
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-    med = batched_rolling_median(matrix, window)
-    mad = batched_rolling_median(np.abs(matrix - med), window)
-    outlier = np.abs(matrix - med) > threshold * scale * mad
-    out = matrix.copy()
-    out[outlier] = med[outlier]
-    return out
-
-
-class _BisectList:
-    """Minimal sorted indexable list: stdlib fallback for ``SortedList``.
-
-    ``add``/``remove`` are O(w) worst-case (C-speed ``list`` shifts), which
-    is fast enough at vital-sign window sizes; ``sortedcontainers`` is used
-    when available for the O(log w) bound.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self) -> None:
-        self._data: list[float] = []
-
-    def add(self, value: float) -> None:
-        bisect.insort(self._data, value)
-
-    def remove(self, value: float) -> None:
-        idx = bisect.bisect_left(self._data, value)
-        del self._data[idx]
-
-    def __getitem__(self, idx: int) -> float:
-        return self._data[idx]
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-def _make_sorted_list():
-    if _HAVE_SORTEDCONTAINERS:
-        return _SortedList()
-    return _BisectList()
-
-
-class RollingMedian:
-    """Exact trailing rolling median with O(log w) per-sample updates.
-
-    Maintains the trailing window in a sorted indexable structure; each
-    :meth:`push` inserts the new sample, evicts the oldest, and reads the
-    rank ``window // 2`` order statistic.  Semantics are identical to
-    :func:`trailing_median` (verified bitwise in the test suite): before the
-    window fills, the deficit is covered by replicating the first sample.
-
-    This is the sample-at-a-time counterpart of the vectorized slice path;
-    the streaming calibrator uses the slice path (one scipy call per hop
-    amortizes better), while this class serves true per-packet consumers.
-    """
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self._window = int(window)
-        self._rank = self._window // 2
-        self._ring: list[float] = []
-        self._next = 0  # ring slot that holds the oldest sample
-        self._sorted = _make_sorted_list()
-
-    @property
-    def window(self) -> int:
-        """Trailing window length in samples."""
-        return self._window
-
-    def push(self, value: float) -> float:
-        """Insert ``value`` and return the current trailing median."""
-        value = float(value)
-        if not self._ring:
-            # Left-edge replication: pre-fill the window with the first
-            # sample so early medians match ``mode='nearest'``.
-            self._ring = [value] * self._window
-            for _ in range(self._window):
-                self._sorted.add(value)
-            return self._sorted[self._rank]
-        self._sorted.remove(self._ring[self._next])
-        self._ring[self._next] = value
-        self._next = (self._next + 1) % self._window
-        self._sorted.add(value)
-        return self._sorted[self._rank]
-
-    def reset(self) -> None:
-        """Forget all samples."""
-        self._ring = []
-        self._next = 0
-        self._sorted = _make_sorted_list()
-
-
-class RollingHampel:
-    """Causal Hampel filter with O(log w) per-sample updates.
-
-    Composes two :class:`RollingMedian` structures — one over the raw
-    samples, one over the absolute deviations from the running median — and
-    applies the Hampel outlier rule per sample.  Output is identical to
-    :func:`trailing_hampel` fed the same series.
-    """
-
-    def __init__(
-        self,
-        window: int,
-        threshold: float,
-        *,
-        scale: float = MAD_TO_SIGMA,
-    ) -> None:
-        if threshold < 0:
-            raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-        self._median = RollingMedian(window)
-        self._deviation = RollingMedian(window)
-        self._threshold = float(threshold)
-        self._scale = float(scale)
-
-    def push(self, value: float) -> float:
-        """Insert ``value`` and return the filtered (possibly replaced) sample."""
-        value = float(value)
-        med = self._median.push(value)
-        mad = self._deviation.push(abs(value - med))
-        if abs(value - med) > self._threshold * self._scale * mad:
-            return med
-        return value
-
-    def reset(self) -> None:
-        """Forget all samples."""
-        self._median.reset()
-        self._deviation.reset()
+    window = max(1, min(window, matrix.shape[0]))
+    return hampel_rule(matrix, window, threshold, align="centered", scale=scale)[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from ...contracts import FloatArray, IntArray
 
-__all__ = ["cycle_unwrap", "CycleUnwrapper"]
+__all__ = ["cycle_unwrap"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -63,28 +63,3 @@ def cycle_unwrap(
     jumps = (steps < -np.pi).astype(np.int64) - (steps > np.pi).astype(np.int64)
     cycles = base + np.cumsum(jumps, axis=0)
     return a + _TWO_PI * cycles, cycles
-
-
-class CycleUnwrapper:
-    """Stateful wrapper around :func:`cycle_unwrap` for block streams."""
-
-    def __init__(self) -> None:
-        self._last_angle: FloatArray | None = None
-        self._last_cycles: IntArray | None = None
-
-    def extend(self, angles: FloatArray) -> FloatArray:
-        """Unwrap the next block, continuing from the previous one."""
-        a = np.asarray(angles, dtype=float)
-        if a.shape[0] == 0:
-            return a.copy()
-        unwrapped, cycles = cycle_unwrap(
-            a, prev_angle=self._last_angle, prev_cycles=self._last_cycles
-        )
-        self._last_angle = a[-1].copy()
-        self._last_cycles = cycles[-1].copy() if cycles.ndim > 1 else cycles[-1]
-        return unwrapped
-
-    def reset(self) -> None:
-        """Forget continuation state."""
-        self._last_angle = None
-        self._last_cycles = None

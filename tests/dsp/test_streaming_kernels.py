@@ -1,8 +1,11 @@
-"""Streaming-kernel exactness: trailing medians, cycle unwrap, sliding DFT.
+"""Streaming-kernel exactness: packed medians, cycle unwrap, sliding DFT.
 
-The incremental monitor's correctness argument rests on two bitwise claims
+The incremental monitor's correctness argument rests on three bitwise claims
 pinned here against naive reference implementations:
 
+* the packed rolling-median kernel equals a per-column scipy loop bit for
+  bit, for both alignments, any ``tail`` and any input (non-finite values
+  and signed zeros included);
 * trailing (causal) order statistics are frozen once computed, so blockwise
   incremental evaluation — and rebuilding from a buffered suffix — equals a
   from-scratch pass exactly;
@@ -15,28 +18,25 @@ Float-tolerance claims (sliding DFT vs a fresh rFFT) are tested against the
 
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 
 from repro.dsp.fft_utils import (
     batched_magnitude_spectrum,
     magnitude_spectrum,
     rfft_plan,
 )
-from repro.dsp.hampel import hampel_filter, rolling_median
+from repro.dsp.hampel import hampel_filter
+from repro.dsp.hampel import rolling_median as centered_median_1d
 from repro.dsp.stats import MAD_TO_SIGMA
 from repro.dsp.streaming_kernels import (
-    CycleUnwrapper,
-    RollingHampel,
-    RollingMedian,
     SlidingDFT,
     StreamingCalibrator,
     TrailingHampelState,
     batched_hampel_filter,
-    batched_rolling_median,
     cycle_unwrap,
+    hampel_rule,
+    rolling_median,
     trailing_calibrate,
-    trailing_hampel,
-    trailing_mad,
-    trailing_median,
     trailing_window_samples,
 )
 from repro.errors import ConfigurationError
@@ -55,6 +55,39 @@ def naive_trailing_median(x, window):
     return out
 
 
+def naive_trailing_hampel(x, window, threshold):
+    """Reference trailing Hampel filter, column by column, from the naive median."""
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    for col in range(x.shape[1]):
+        med = naive_trailing_median(x[:, col], window)
+        dev = np.abs(x[:, col] - med)
+        mad = naive_trailing_median(dev, window)
+        outlier = dev > threshold * MAD_TO_SIGMA * mad
+        out[outlier, col] = med[outlier]
+    return out
+
+
+def per_column_median(x, window, align):
+    """Reference: one ``median_filter`` call per column (edge replication;
+    the trailing origin shifts the footprint onto ``[i - w + 1, i]``)."""
+    origin = (window - 1) // 2 if align == "trailing" else 0
+    out = np.empty_like(x)
+    for col in range(x.shape[1]):
+        out[:, col] = median_filter(
+            x[:, col], size=window, mode="nearest", origin=origin
+        )
+    return out
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(np.uint64),
+        np.ascontiguousarray(expected).view(np.uint64),
+    )
+
+
 def tied_series(rng, n=120):
     """A series with many exact ties — the regime where median conventions
     (rank choice, even-window averaging) diverge if mismatched."""
@@ -66,110 +99,166 @@ class TestTrailingMedian:
     def test_matches_naive_reference_bitwise(self, rng, window):
         x = rng.normal(size=120)
         np.testing.assert_array_equal(
-            trailing_median(x, window), naive_trailing_median(x, window)
+            rolling_median(x, window), naive_trailing_median(x, window)
         )
 
     @pytest.mark.parametrize("window", [2, 3, 4, 7])
     def test_ties_and_even_windows(self, rng, window):
         x = tied_series(rng)
         np.testing.assert_array_equal(
-            trailing_median(x, window), naive_trailing_median(x, window)
+            rolling_median(x, window), naive_trailing_median(x, window)
         )
 
     def test_window_longer_than_series(self, rng):
         x = rng.normal(size=8)
         np.testing.assert_array_equal(
-            trailing_median(x, 20), naive_trailing_median(x, 20)
+            rolling_median(x, 20), naive_trailing_median(x, 20)
         )
 
     def test_2d_filters_each_column_independently(self, rng):
         x = rng.normal(size=(60, 4))
-        out = trailing_median(x, 9)
+        out = rolling_median(x, 9)
         for col in range(4):
-            np.testing.assert_array_equal(out[:, col], trailing_median(x[:, col], 9))
+            np.testing.assert_array_equal(out[:, col], rolling_median(x[:, col], 9))
 
     def test_causality_extending_never_changes_past_outputs(self, rng):
         x = rng.normal(size=100)
-        full = trailing_median(x, 11)
-        np.testing.assert_array_equal(trailing_median(x[:60], 11), full[:60])
+        full = rolling_median(x, 11)
+        np.testing.assert_array_equal(rolling_median(x[:60], 11), full[:60])
 
     def test_rejects_bad_inputs(self, rng):
         with pytest.raises(ConfigurationError):
-            trailing_median(rng.normal(size=(2, 2, 2)), 3)
+            rolling_median(rng.normal(size=(2, 2, 2)), 3)
         with pytest.raises(ConfigurationError):
-            trailing_median(rng.normal(size=10), 0)
+            rolling_median(rng.normal(size=10), 0)
+
+
+ALIGNS = ["trailing", "centered"]
+
+
+class TestPackedRollingMedian:
+    """``rolling_median`` against the per-column scipy loop, bit for bit."""
+
+    @pytest.mark.parametrize("align", ALIGNS)
+    @pytest.mark.parametrize(
+        "n, n_series, window",
+        [
+            (20, 3, 50),  # n < w
+            (1, 4, 7),  # a single row
+            (30, 3, 1),  # w = 1
+            (64, 4, 10),  # even window
+            (64, 4, 11),
+            (5, 2, 6),  # even window longer than the series
+            (449, 60, 250),  # fleet 50 Hz window, trend stage
+            (2399, 60, 2000),  # solo 400 Hz hop context, trend stage
+        ],
+    )
+    def test_matches_per_column_loop(self, rng, align, n, n_series, window):
+        x = rng.normal(size=(n, n_series))
+        assert_bitwise(
+            rolling_median(x, window, align=align),
+            per_column_median(x, window, align),
+        )
+
+    @pytest.mark.parametrize("align", ALIGNS)
+    @pytest.mark.parametrize("window", [2, 3, 4, 7, 50])
+    def test_ties(self, rng, align, window):
+        x = np.stack([tied_series(rng) for _ in range(4)], axis=1)
+        assert_bitwise(
+            rolling_median(x, window, align=align),
+            per_column_median(x, window, align),
+        )
+
+    @pytest.mark.parametrize("align", ALIGNS)
+    @pytest.mark.parametrize(
+        "n, window, tail",
+        [(100, 11, 1), (100, 11, 37), (100, 11, 100), (100, 11, 0),
+         (30, 50, 7), (449, 250, 50), (2399, 2000, 400)],
+    )
+    def test_tail_is_the_last_rows_of_the_full_output(
+        self, rng, align, n, window, tail
+    ):
+        x = rng.normal(size=(n, 5))
+        full = rolling_median(x, window, align=align)
+        out = rolling_median(x, window, align=align, tail=tail)
+        assert_bitwise(out, full[n - tail :])
+        assert_bitwise(out, per_column_median(x, window, align)[n - tail :])
+
+    @pytest.mark.parametrize("align", ALIGNS)
+    def test_1d_input_is_one_column(self, rng, align):
+        x = rng.normal(size=40)
+        out = rolling_median(x, 9, align=align, tail=10)
+        assert out.shape == (10,)
+        assert_bitwise(out, per_column_median(x[:, None], 9, align)[-10:, 0])
+
+    def test_non_finite_values_stay_in_their_column(self):
+        # scipy's running median mis-orders NaN and the disturbance can
+        # outlive the window; packed with its neighbours, a poisoned column
+        # must not change theirs, and its own output must be the per-column one.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 700))
+            n_series = int(rng.integers(2, 6))
+            window = int(rng.choice([1, 2, 3, 10, 49, 50, 250, 2000]))
+            align = ALIGNS[int(rng.integers(2))]
+            x = rng.normal(size=(n, n_series))
+            col = int(rng.integers(n_series))
+            hits = rng.integers(0, n, size=int(rng.integers(1, 4)))
+            x[hits, col] = rng.choice([np.nan, np.inf, -np.inf], size=hits.size)
+            tail = int(rng.integers(0, n + 1))
+            expected = per_column_median(x, window, align)
+            assert_bitwise(rolling_median(x, window, align=align), expected)
+            assert_bitwise(
+                rolling_median(x, window, align=align, tail=tail),
+                expected[n - tail :],
+            )
+
+    @pytest.mark.parametrize("align", ALIGNS)
+    def test_signed_zeros_match_the_per_column_loop(self, rng, align):
+        # -0.0 ties with +0.0; which one a window reports depends on the
+        # filter's history, so such columns must see the per-column call.
+        x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=(150, 6))
+        for window in (2, 5, 16):
+            assert_bitwise(
+                rolling_median(x, window, align=align),
+                per_column_median(x, window, align),
+            )
+
+    def test_rejects_bad_inputs(self, rng):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(ConfigurationError):
+            rolling_median(x, 3, align="leading")
+        with pytest.raises(ConfigurationError):
+            rolling_median(x, 3, tail=11)
+        with pytest.raises(ConfigurationError):
+            rolling_median(x, 3, tail=-1)
 
 
 class TestTrailingMadAndHampel:
-    def test_mad_is_median_of_deviations(self, rng):
-        x = rng.normal(size=80)
-        med = trailing_median(x, 7)
-        np.testing.assert_array_equal(
-            trailing_mad(x, 7), trailing_median(np.abs(x - med), 7)
-        )
-
-    def test_mad_median_reuse_is_bitwise_neutral(self, rng):
-        x = rng.normal(size=80)
-        med = trailing_median(x, 7)
-        np.testing.assert_array_equal(
-            trailing_mad(x, 7), trailing_mad(x, 7, median=med)
-        )
-
     def test_hampel_applies_outlier_rule_about_trailing_stats(self, rng):
         x = rng.normal(size=90)
         x[40] += 25.0  # a spike the small threshold must replace
-        out = trailing_hampel(x, 9, 0.01)
-        med = trailing_median(x, 9)
-        mad = trailing_median(np.abs(x - med), 9)
+        out, dev = hampel_rule(x, 9, 0.01)
+        med = naive_trailing_median(x, 9)
+        mad = naive_trailing_median(np.abs(x - med), 9)
         outlier = np.abs(x - med) > 0.01 * MAD_TO_SIGMA * mad
         assert outlier[40]
+        np.testing.assert_array_equal(dev, np.abs(x - med))
         np.testing.assert_array_equal(out[outlier], med[outlier])
         np.testing.assert_array_equal(out[~outlier], x[~outlier])
 
     def test_rejects_negative_threshold(self, rng):
         with pytest.raises(ConfigurationError):
-            trailing_hampel(rng.normal(size=10), 3, -1.0)
-
-
-class TestRollingStructures:
-    @pytest.mark.parametrize("window", [1, 2, 3, 4, 9, 16])
-    def test_rolling_median_matches_vectorized_kernel(self, rng, window):
-        x = np.concatenate([rng.normal(size=60), tied_series(rng, 60)])
-        roller = RollingMedian(window)
-        streamed = np.array([roller.push(v) for v in x])
-        np.testing.assert_array_equal(streamed, trailing_median(x, window))
-
-    def test_rolling_median_reset_forgets_history(self, rng):
-        x = rng.normal(size=30)
-        roller = RollingMedian(5)
-        for v in x:
-            roller.push(v)
-        roller.reset()
-        streamed = np.array([roller.push(v) for v in x])
-        np.testing.assert_array_equal(streamed, trailing_median(x, 5))
-
-    @pytest.mark.parametrize("window", [3, 8])
-    def test_rolling_hampel_matches_trailing_hampel(self, rng, window):
-        x = rng.normal(size=100)
-        x[::17] += 10.0
-        roller = RollingHampel(window, 0.01)
-        streamed = np.array([roller.push(v) for v in x])
-        np.testing.assert_array_equal(streamed, trailing_hampel(x, window, 0.01))
-
-    def test_structure_validation(self):
-        with pytest.raises(ConfigurationError):
-            RollingMedian(0)
-        with pytest.raises(ConfigurationError):
-            RollingHampel(5, -0.1)
+            hampel_rule(rng.normal(size=10), 3, -1.0)
 
 
 class TestBatchedCenteredKernels:
     def test_batched_rolling_median_matches_per_column(self, rng):
         matrix = rng.normal(size=(64, 5))
-        out = batched_rolling_median(matrix, 9)
+        out = rolling_median(matrix, 9, align="centered")
         for col in range(5):
             np.testing.assert_array_equal(
-                out[:, col], rolling_median(matrix[:, col], 9)
+                out[:, col], centered_median_1d(matrix[:, col], 9)
             )
 
     def test_batched_hampel_matches_per_column_loop(self, rng):
@@ -230,24 +319,18 @@ class TestCycleUnwrap:
         np.testing.assert_array_equal(np.concatenate(pieces), full)
         np.testing.assert_array_equal(np.concatenate(cycles_pieces), full_cycles)
 
-    def test_stateful_wrapper_matches_single_pass(self, rng):
-        wrapped, _ = self.wrapped_walk(rng, (250, 3))
-        unwrapper = CycleUnwrapper()
-        blocks = [
-            unwrapper.extend(b)
-            for b in np.array_split(wrapped, [40, 41, 150], axis=0)
-        ]
-        full, _ = cycle_unwrap(wrapped)
-        np.testing.assert_array_equal(np.concatenate(blocks), full)
-
     def test_empty_block_is_a_noop(self, rng):
         wrapped, _ = self.wrapped_walk(rng, (50, 2))
-        unwrapper = CycleUnwrapper()
-        unwrapper.extend(wrapped[:20])
-        out = unwrapper.extend(wrapped[:0])
-        assert out.shape == (0, 2)
+        first, cycles = cycle_unwrap(wrapped[:20])
+        empty, empty_cycles = cycle_unwrap(
+            wrapped[:0], prev_angle=wrapped[19], prev_cycles=cycles[-1]
+        )
+        assert empty.shape == (0, 2) and empty_cycles.shape == (0, 2)
+        rest, _ = cycle_unwrap(
+            wrapped[20:], prev_angle=wrapped[19], prev_cycles=cycles[-1]
+        )
         full, _ = cycle_unwrap(wrapped)
-        np.testing.assert_array_equal(unwrapper.extend(wrapped[20:]), full[20:])
+        np.testing.assert_array_equal(np.concatenate([first, rest]), full)
 
 
 class TestSlidingDFT:
@@ -373,14 +456,14 @@ class TestTrailingHampelState:
             if b.shape[0]
         ]
         np.testing.assert_array_equal(
-            np.concatenate(blocks), trailing_hampel(x, 11, 0.01)
+            np.concatenate(blocks), naive_trailing_hampel(x, 11, 0.01)
         )
 
     def test_window_longer_than_first_block(self, rng):
         x = rng.normal(size=(40, 2))
         state = TrailingHampelState(25, 0.01)
         out = np.concatenate([state.extend(x[:5]), state.extend(x[5:])])
-        np.testing.assert_array_equal(out, trailing_hampel(x, 25, 0.01))
+        np.testing.assert_array_equal(out, naive_trailing_hampel(x, 25, 0.01))
 
     def test_empty_block_is_a_noop(self, rng):
         x = rng.normal(size=(30, 2))
@@ -388,7 +471,7 @@ class TestTrailingHampelState:
         first = state.extend(x[:15])
         assert state.extend(x[:0]).shape == (0, 2)
         out = np.concatenate([first, state.extend(x[15:])])
-        np.testing.assert_array_equal(out, trailing_hampel(x, 7, 0.01))
+        np.testing.assert_array_equal(out, naive_trailing_hampel(x, 7, 0.01))
 
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):
@@ -497,6 +580,28 @@ class TestStreamingCalibrator:
         np.testing.assert_array_equal(
             engine.calibrated_window(3), engine.calibrated_window(5)
         )
+
+    def test_cached_rows_survive_growth_and_eviction(self, rng):
+        # A window handed out earlier must keep its values while later
+        # hops append to and evict from the caches it was taken from.
+        wrapped = wrapped_phase_matrix(rng, 900, 2)
+        ref = trailing_calibrate(wrapped, 100.0, **CAL_KW)
+        engine = self.make_engine(2)
+        engine.extend(wrapped[:300])
+        held = engine.unwrapped_window(0)
+        expected = held.copy()
+        evicted = 0
+        for start in range(300, 900, 40):
+            engine.extend(wrapped[start : start + 40])
+            engine.evict(30)
+            evicted += 30
+            np.testing.assert_array_equal(held, expected)
+        assert engine.n_rows == 900 - evicted
+        np.testing.assert_array_equal(engine.unwrapped_window(0), ref.unwrapped[evicted:])
+        np.testing.assert_array_equal(
+            engine.calibrated_window(0), ref.predecimation_series[evicted:]
+        )
+        np.testing.assert_array_equal(engine.base_cycles, ref.cycles[evicted])
 
     def test_eviction_must_respect_decimation_quantum(self, rng):
         engine = self.make_engine(2, factor=5)
